@@ -11,8 +11,8 @@ scopes exist:
 * ``scope = "project"`` — ``check(project)`` receives the whole
   :class:`~repro.lint.analyzer.ProjectContext` (every parsed file) and
   may correlate across artifacts.  The S-series seam contracts are
-  project rules: engine surface parity and schema conformance cannot
-  be decided one file at a time.
+  project rules: schema conformance cannot be decided one file at a
+  time.
 
 Adding a rule (see DESIGN §15 for the policy):
 
@@ -41,7 +41,7 @@ _RULE_ID = re.compile(r"^[DPS]\d{3}$")
 class Rule:
     """Base class for lint rules.  Subclass, set the metadata, register."""
 
-    #: unique id: family letter + 3 digits (``D101``, ``P201``, ``S301``)
+    #: unique id: family letter + 3 digits (``D101``, ``P201``, ``S302``)
     id: str = ""
     #: one-line imperative summary ("do not call wall-clock time ...")
     summary: str = ""

@@ -39,14 +39,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.analysis.stats import jain_fairness
 from repro.channel.arbiter import ArbiterConfig
 from repro.channel.mux import FlowMux
-from repro.channel.sampling import maybe_block
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
-from repro.sim.engine import Simulator, make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.runner import (
     LinkSpec,
     TransferResult,
     _derive_timeout,
+    require_default_engine,
     run_transfer,
 )
 from repro.trace.recorder import NullRecorder, TraceRecorder
@@ -382,7 +382,6 @@ class SessionHost:
         obs_labels: Optional[dict] = None,
         obs_sample_invariants_every: int = 0,
         causal: bool = False,
-        engine: str = "default",
         arbiter: Optional[ArbiterConfig] = None,
     ) -> None:
         self.flows = [
@@ -404,7 +403,6 @@ class SessionHost:
         self.obs_labels = obs_labels
         self.obs_sample_invariants_every = obs_sample_invariants_every
         self.causal = causal
-        self.engine = engine
         self.arbiter = (
             arbiter if arbiter is not None and arbiter.active else None
         )
@@ -412,7 +410,7 @@ class SessionHost:
     # ------------------------------------------------------------------
 
     def run(self) -> SessionResult:
-        sim = make_simulator(self.engine)
+        sim = Simulator()
         streams = RandomStreams(self.seed)
 
         causal_rec = None
@@ -441,10 +439,10 @@ class SessionHost:
             obs_session.attach_sim(sim)
 
         forward_channel = self.forward_spec.build(
-            sim, maybe_block(streams.get("channel.forward"), self.engine), "SR"
+            sim, streams.get("channel.forward"), "SR"
         )
         reverse_channel = self.reverse_spec.build(
-            sim, maybe_block(streams.get("channel.reverse"), self.engine), "RS"
+            sim, streams.get("channel.reverse"), "RS"
         )
         # only the data direction is arbitrated: acks are the paper's
         # cheap control frames, so the reverse link keeps pure
@@ -849,7 +847,11 @@ def run_flows(
     An *active* ``arbiter`` (finite rate) disables the N=1 delegation:
     a capacity-limited run needs the mux/arbiter wiring even for one
     flow, so it always goes through :class:`SessionHost`.
+
+    ``engine`` accepts only ``"default"`` (see
+    :func:`~repro.sim.runner.run_transfer`).
     """
+    require_default_engine(engine)
     flows = list(flows)
     if not flows:
         raise ValueError("run_flows needs at least one FlowSpec")
@@ -874,7 +876,6 @@ def run_flows(
             obs_labels=obs_labels,
             obs_sample_invariants_every=obs_sample_invariants_every,
             causal=causal,
-            engine=engine,
         )
         return _session_from_transfer(spec, result)
     host = SessionHost(
@@ -893,7 +894,6 @@ def run_flows(
         obs_labels=obs_labels,
         obs_sample_invariants_every=obs_sample_invariants_every,
         causal=causal,
-        engine=engine,
         arbiter=arbiter if arbitrated else None,
     )
     return host.run()

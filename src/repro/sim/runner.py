@@ -18,9 +18,8 @@ from typing import Any, List, Optional
 from repro.channel.channel import Channel
 from repro.channel.delay import ConstantDelay, DelayModel
 from repro.channel.impairments import LossModel, NoLoss
-from repro.channel.sampling import maybe_block
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
-from repro.sim.engine import Simulator, make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.trace.recorder import NullRecorder, TraceRecorder
 from repro.workloads.sources import Source
@@ -178,6 +177,20 @@ def _derive_timeout(sender, receiver, forward: Channel, reverse: Channel) -> Non
     )
 
 
+def require_default_engine(engine: str) -> None:
+    """Reject an ``engine`` keyword other than ``"default"``.
+
+    The calendar-queue ``"fast"`` engine was removed; the keyword stays
+    on :func:`run_transfer` and :func:`repro.sim.host.run_flows` only so
+    callers that pass ``engine="default"`` keep working.
+    """
+    if engine != "default":
+        raise ValueError(
+            f"engine={engine!r}: the calendar-queue 'fast' engine was "
+            "removed; 'default' (the binary-heap Simulator) is the only one"
+        )
+
+
 def run_transfer(
     sender: SenderEndpoint,
     receiver: ReceiverEndpoint,
@@ -249,15 +262,12 @@ def run_transfer(
     with it; the graph never perturbs rng or scheduling, so decision
     traces are bit-identical with the layer on or off.
 
-    ``engine`` selects the event-loop implementation (see
-    :data:`repro.sim.engine.ENGINES`): ``"default"`` is the binary-heap
-    engine whose golden decision traces are pinned byte-for-byte;
-    ``"fast"`` is the calendar-queue engine with batched same-timestamp
-    drain and block-sampled channel randomness — decision-trace
-    equivalent (the channel streams are bit-identical by construction)
-    but measurably faster on event-dense workloads.
+    ``engine`` accepts only ``"default"``: the binary-heap
+    :class:`~repro.sim.engine.Simulator` is the one event loop, and any
+    other value raises :class:`ValueError`.
     """
-    sim = make_simulator(engine)
+    require_default_engine(engine)
+    sim = Simulator()
     streams = RandomStreams(seed)
 
     causal_rec = None
@@ -286,10 +296,10 @@ def run_transfer(
     forward_spec = forward if forward is not None else LinkSpec()
     reverse_spec = reverse if reverse is not None else LinkSpec()
     forward_channel = forward_spec.build(
-        sim, maybe_block(streams.get("channel.forward"), engine), "SR"
+        sim, streams.get("channel.forward"), "SR"
     )
     reverse_channel = reverse_spec.build(
-        sim, maybe_block(streams.get("channel.reverse"), engine), "RS"
+        sim, streams.get("channel.reverse"), "RS"
     )
     if obs_session is not None:
         obs_session.attach_channel(forward_channel, "SR")

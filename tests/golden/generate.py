@@ -96,13 +96,14 @@ def record_case(
     forward,
     reverse,
     seed,
-    engine: str = "default",
+    obs: bool = False,
 ):
     """One traced transfer; returns the JSON-safe decision trace.
 
-    ``engine`` selects the event loop; the recordings are always
-    *generated* on the default engine, and the fast engine is required to
-    reproduce them exactly (see ``test_golden_traces.py``).
+    The recordings are always *generated* plain; ``obs=True`` replays a
+    case with the telemetry layer (instrumented engine, channel
+    observers, span tracking) attached, which must not change it (see
+    ``test_golden_traces.py``).
     """
     sender, receiver = make_pair(protocol, window=window)
     result = run_transfer(
@@ -114,7 +115,7 @@ def record_case(
         seed=seed,
         trace=True,
         max_time=10_000.0,
-        engine=engine,
+        obs=obs,
     )
     assert result.completed and result.in_order, (
         f"golden run must complete cleanly: {protocol}: {result.summary()}"

@@ -5,7 +5,8 @@ capacity-limited-link refactor, so its contract is tested directly,
 below the mux/host layers: token-bucket pacing, droptail accounting,
 scheduler ordering (fifo / wrr / drr), and — via hypothesis — DRR's
 grant-conservation and equal-weight fairness properties.  Every test
-runs on both engines through the shared ``sim`` fixture.
+runs on both engine code paths (plain and instrumented) through the
+shared ``sim`` fixture.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from repro.channel.arbiter import (
     WrrScheduler,
     make_scheduler,
 )
-from repro.sim.engine import ENGINES, make_simulator
-
-from .conftest import drain
+from .conftest import SIM_VARIANTS, drain, make_sim
 
 
 def build(sim, **config):
@@ -230,7 +229,7 @@ class TestDrrProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        engine=st.sampled_from(ENGINES),
+        variant=st.sampled_from(SIM_VARIANTS),
         nflows=st.integers(min_value=2, max_value=4),
         extra=st.lists(
             st.integers(min_value=0, max_value=25),
@@ -241,9 +240,9 @@ class TestDrrProperties:
         burst=st.floats(min_value=1.0, max_value=6.0),
     )
     def test_drr_conserves_grants_and_splits_evenly(
-        self, engine, nflows, extra, rate, burst
+        self, variant, nflows, extra, rate, burst
     ):
-        sim = make_simulator(engine)
+        sim = make_sim(variant)
         grants = []
         arbiter = LinkArbiter(
             sim,

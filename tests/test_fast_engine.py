@@ -1,11 +1,13 @@
-"""Edge cases specific to the calendar-queue engine (``FastSimulator``).
+"""Event-loop edge cases: cancelled heads, same-timestamp cancels and
+ties, heavy queue growth mid-run, instrument swaps, exceptions, and
+cross-process determinism.
 
-The shared engine contract is enforced by ``test_sim_engine.py`` (whose
-``sim`` fixture is parametrized over both engines).  These tests target
-the machinery the heap engine doesn't have: year-bucket scanning across
-cancelled heads, the noop-substitution cancel in the batched drain,
-bucket resizing mid-run, instrument swaps between the lean and
-instrumented drain loops, and cross-process determinism.
+The general engine contract lives in ``test_sim_engine.py``.  These
+cases were first written against a second, calendar-queue engine (since
+deleted) and are kept as regression tests for the one
+:class:`~repro.sim.engine.Simulator`.  Parametrized cases run on both of
+its code paths (see ``SIM_VARIANTS`` in ``conftest.py``): the plain
+drain loops and their instrumented twins.
 """
 
 import subprocess
@@ -13,34 +15,23 @@ import sys
 
 import pytest
 
-from repro.sim.engine import (
-    ENGINES,
-    FastSimulator,
-    Simulator,
-    make_simulator,
-)
+from repro.sim.engine import Simulator
 
-
-def test_make_simulator_engines():
-    assert isinstance(make_simulator("default"), Simulator)
-    assert isinstance(make_simulator("fast"), FastSimulator)
-    with pytest.raises(ValueError):
-        make_simulator("warp")
-    assert set(ENGINES) == {"default", "fast"}
+from .conftest import SIM_VARIANTS, make_sim
 
 
 class TestPeekAcrossCancelledHeads:
     def test_peek_skips_cancelled_head(self):
-        sim = FastSimulator()
+        sim = Simulator()
         first = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         first.cancel()
         assert sim.peek_time() == 2.0
 
     def test_peek_skips_run_of_cancelled_heads_across_buckets(self):
-        # Cancel heads spread over many year-buckets so the scan has to
-        # walk buckets (and wrap years) before finding a live event.
-        sim = FastSimulator()
+        # a long run of cancelled heads at distinct times: peek has to
+        # discard every one of them before it finds the live event
+        sim = Simulator()
         doomed = [sim.schedule(float(i), lambda: None) for i in range(50)]
         survivor = sim.schedule(50.0, lambda: None)
         for event in doomed:
@@ -53,7 +44,7 @@ class TestPeekAcrossCancelledHeads:
         assert sim.events_processed == 1
 
     def test_peek_empty_after_all_cancelled(self):
-        sim = FastSimulator()
+        sim = Simulator()
         events = [sim.schedule(float(i), lambda: None) for i in range(10)]
         for event in events:
             event.cancel()
@@ -65,15 +56,13 @@ class TestPeekAcrossCancelledHeads:
 class TestIntraBatchCancel:
     """A callback cancelling a same-timestamp, not-yet-fired event.
 
-    Both engines must skip the cancelled event even though it was
-    already pulled into the current batch (fast engine) or sits at the
-    heap top (default engine).  The noop-substitution cancel makes this
-    work without a per-event branch in the lean drain loop.
+    The victim already sits at the heap top when it is cancelled; the
+    drain must discard it lazily instead of firing or counting it.
     """
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cancel_later_event_in_same_batch(self, engine):
-        sim = make_simulator(engine)
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_cancel_later_event_in_same_batch(self, variant):
+        sim = make_sim(variant)
         seen = []
         victim_box = []
 
@@ -81,17 +70,17 @@ class TestIntraBatchCancel:
             seen.append("assassin")
             victim_box[0].cancel()
 
-        # assassin has the earlier seq, so it fires first within the
-        # same-timestamp batch and cancels the already-pulled victim
+        # assassin has the earlier seq, so it fires first and cancels
+        # the victim waiting at the same timestamp
         sim.schedule(1.0, assassin)
         victim_box.append(sim.schedule(1.0, seen.append, "victim"))
         sim.run()
         assert seen == ["assassin"]
         assert not victim_box[0].pending
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cancelled_batch_member_not_counted_as_processed(self, engine):
-        sim = make_simulator(engine)
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_cancelled_batch_member_not_counted_as_processed(self, variant):
+        sim = make_sim(variant)
         victim_box = []
 
         def assassin():
@@ -104,14 +93,14 @@ class TestIntraBatchCancel:
         # assassin + trailing noop fire; the victim must not be counted
         assert sim.events_processed == 2
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_double_cancel_is_idempotent(self, engine):
-        sim = make_simulator(engine)
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_double_cancel_is_idempotent(self, variant):
+        sim = make_sim(variant)
         victim_box = []
 
         def assassin():
             victim_box[0].cancel()
-            victim_box[0].cancel()  # must not un-swap the noop
+            victim_box[0].cancel()  # a second cancel is a no-op
 
         sim.schedule(1.0, assassin)
         victim_box.append(sim.schedule(1.0, lambda: None))
@@ -121,12 +110,12 @@ class TestIntraBatchCancel:
 
 
 class TestZeroDelayTies:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_zero_delay_self_reschedule_preserves_fifo(self, engine):
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_zero_delay_self_reschedule_preserves_fifo(self, variant):
         """Zero-delay rescheduling at the current timestamp: new events
-        join the *end* of the current batch (seq order), exactly like
-        the heap engine's tie-break."""
-        sim = make_simulator(engine)
+        queue behind every event already due at that instant (seq
+        order)."""
+        sim = make_sim(variant)
         order = []
 
         def ping(tag, remaining):
@@ -141,13 +130,13 @@ class TestZeroDelayTies:
         assert sim.now == 1.0
 
     def test_schedule_at_into_current_bucket(self):
-        """schedule_at targeting the bucket currently being drained."""
-        sim = FastSimulator()
+        """schedule_at a hair after the instant being drained."""
+        sim = Simulator()
         seen = []
 
         def first():
             seen.append(("first", sim.now))
-            # same year-bucket as the executing batch, later time
+            # just after the executing event, before anything else
             sim.schedule_at(1.0 + 1e-9, lambda: seen.append(("second", sim.now)))
 
         sim.schedule_at(1.0, first)
@@ -157,7 +146,7 @@ class TestZeroDelayTies:
         assert times[0] == 1.0 and times[1] > 1.0
 
     def test_same_time_schedule_at_from_callback_joins_batch(self):
-        sim = FastSimulator()
+        sim = Simulator()
         seen = []
 
         def first():
@@ -172,16 +161,17 @@ class TestZeroDelayTies:
 
 class TestResizeMidRun:
     def test_growth_through_many_resizes_keeps_order(self):
-        """Push enough events through to force several quadrupling
-        resizes while the drain is running; order must stay exact."""
-        sim = FastSimulator()
+        """Grow the queue by hundreds of events from inside callbacks,
+        wave after wave; the instrumented drain must fire exactly the
+        sequence the plain drain does."""
+        sim = make_sim("fast")
         fired = []
 
         def burst(base):
             fired.append(base)
             if base < 5:
-                # fan a fresh wave out from inside a callback so the
-                # resize happens while _running is True (deferred path)
+                # fan a fresh wave out from inside a callback, while
+                # the drain is running
                 for offset in range(400):
                     sim.schedule(
                         0.5 + (offset % 7) * 0.125,
@@ -194,7 +184,7 @@ class TestResizeMidRun:
         sim.run()
         assert sim.pending_count == 0
         assert len(fired) == 6 + 5 * 400
-        # cross-check the exact sequence against the heap engine
+        # cross-check the exact sequence against the plain drain
         ref_sim = Simulator()
         ref_fired = []
 
@@ -232,13 +222,13 @@ class TestInstrumentSwap:
         def on_cancel_discard(self):
             self.discards += 1
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mid_run_attach_defers_drain_hooks_to_next_run(self, engine):
-        """Both engines bind the drain body once per ``run()`` call: a
-        mid-run attach leaves the current (lean) drain untouched, but
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_mid_run_attach_defers_drain_hooks_to_next_run(self, variant):
+        """The drain body is bound once per ``run()`` call: a mid-run
+        attach leaves the current (lean) drain untouched, but
         the *schedule* hook — swapped as an instance attribute — is
         live immediately, and the next drain call is instrumented."""
-        sim = make_simulator(engine)
+        sim = make_sim(variant)
         instruments = self._Instruments()
         seen = []
 
@@ -261,9 +251,9 @@ class TestInstrumentSwap:
         assert seen[-1] == "next-run"
         assert len(instruments.fires) == 1  # fresh drain is instrumented
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mid_run_detach_keeps_current_drain_instrumented(self, engine):
-        sim = make_simulator(engine)
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_mid_run_detach_keeps_current_drain_instrumented(self, variant):
+        sim = make_sim(variant)
         instruments = self._Instruments()
         sim.set_instruments(instruments)
         seen = []
@@ -288,11 +278,11 @@ class TestInstrumentSwap:
 
 
 class TestExceptionPropagation:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_exception_preserves_pending_events(self, engine):
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_exception_preserves_pending_events(self, variant):
         """A raising callback leaves the rest of the queue intact and
         resumable, and counts the raising event as processed."""
-        sim = make_simulator(engine)
+        sim = make_sim(variant)
         seen = []
 
         def boom():
@@ -312,9 +302,9 @@ class TestExceptionPropagation:
         assert seen == ["before", "boom", "same-time-later", "after"]
         assert sim.events_processed == 4
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_exception_with_cancelled_batch_member(self, engine):
-        sim = make_simulator(engine)
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_exception_with_cancelled_batch_member(self, variant):
+        sim = make_sim(variant)
         victim_box = []
 
         def boom():
@@ -333,9 +323,9 @@ class TestExceptionPropagation:
 
 _DETERMINISM_SNIPPET = """
 import json
-from repro.sim.engine import make_simulator
+from repro.sim.engine import Simulator
 
-sim = make_simulator("fast")
+sim = Simulator()
 log = []
 
 def tick(tag, n):
@@ -351,7 +341,7 @@ print(json.dumps([sim.events_processed, sim.now, log]))
 
 
 def test_fast_engine_deterministic_across_hash_seeds():
-    """The calendar queue must not depend on hash ordering: identical
+    """The event order must not depend on hash ordering: identical
     runs under different PYTHONHASHSEED values produce identical logs."""
     outputs = set()
     for hash_seed in ("0", "1", "424242"):

@@ -53,19 +53,19 @@ def test_decision_trace_matches_golden(case_id, protocol, kwargs):
     ids=[f"fast-{case_id}" for case_id, _, _ in golden_cases()],
 )
 def test_decision_trace_matches_golden_fast_engine(case_id, protocol, kwargs):
-    """The calendar-queue engine must reproduce every recording too.
+    """Every recording must also reproduce on the instrumented engine path.
 
-    The fast engine reorders nothing observable: same-timestamp events
-    fire in schedule order (batched), and the block-sampled channel
-    randomness is bit-identical to ``random.Random``.  Any divergence
-    here means the raw-speed path changed protocol behaviour.
+    The ``fast-`` ids are the suite's historical names for this second
+    pass.  With ``obs=True`` the simulator runs its instrumented drain
+    loops and the channels and endpoints carry telemetry observers; none
+    of that may reorder or alter a protocol decision.
     """
     golden = _rehydrate(RECORDINGS[case_id])
-    current = _rehydrate(record_case(protocol, engine="fast", **kwargs))
+    current = _rehydrate(record_case(protocol, obs=True, **kwargs))
     differences = decision_diff(golden, current)
     assert not differences, (
-        f"{case_id}: fast-engine decision trace diverged from the "
-        f"default-engine recording:\n" + "\n".join(differences)
+        f"{case_id}: decision trace diverged from the recording with "
+        f"telemetry attached:\n" + "\n".join(differences)
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.perf.bench import (
     _channel_transit,
     _engine_chain,
+    _engine_chain_obs,
     _engine_fanout,
     _transfer,
     compare_bench,
@@ -14,6 +15,8 @@ from repro.perf.bench import (
     run_profile,
     update_bench_json,
 )
+
+from .conftest import SIM_VARIANTS
 
 
 class TestCompareBench:
@@ -93,27 +96,32 @@ class TestUpdateBenchJson:
 
 
 class TestWorkloads:
-    """The micro workloads themselves, at tiny sizes, on both engines."""
+    """The micro workloads themselves, at tiny sizes."""
 
-    @pytest.mark.parametrize("engine", ["default", "fast"])
-    def test_engine_workloads_count_events(self, engine):
-        assert _engine_chain(500, engine=engine) == 500
-        assert _engine_fanout(500, engine=engine) == 500
-        assert _channel_transit(200, engine=engine) == 200
+    @pytest.mark.parametrize("variant", SIM_VARIANTS)
+    def test_engine_workloads_count_events(self, variant):
+        if variant == "default":
+            assert _engine_chain(500) == 500
+            assert _engine_fanout(500) == 500
+            assert _channel_transit(200) == 200
+        else:
+            # the chain micro on the instrumented engine path
+            assert _engine_chain_obs(500) == 500
 
     def test_transfer_engines_agree(self):
-        delivered_default, throughput_default = _transfer(60)
-        delivered_fast, throughput_fast = _transfer(60, engine="fast")
-        assert delivered_default == delivered_fast == 60
-        # virtual-time throughput is deterministic and engine-invariant
-        assert throughput_default == throughput_fast
+        delivered_plain, throughput_plain = _transfer(60)
+        delivered_obs, throughput_obs = _transfer(60, obs=True)
+        assert delivered_plain == delivered_obs == 60
+        # virtual-time throughput is deterministic and the instrumented
+        # engine path (obs=True) leaves it untouched
+        assert throughput_plain == throughput_obs
 
 
 def test_run_profile_writes_dumps(tmp_path):
-    written = run_profile(tmp_path, scale=1, engines=("fast",), top=5)
+    written = run_profile(tmp_path, scale=1, top=5)
     names = sorted(p.name for p in written)
-    assert names == ["transfer_fast.prof", "transfer_fast.txt"]
-    report = (tmp_path / "transfer_fast.txt").read_text()
-    assert "engine='fast'" in report
+    assert names == ["transfer.prof", "transfer.txt"]
+    report = (tmp_path / "transfer.txt").read_text()
+    assert "blockack transfer micro" in report
     assert "cumulative" in report and "internal" in report
-    assert (tmp_path / "transfer_fast.prof").stat().st_size > 0
+    assert (tmp_path / "transfer.prof").stat().st_size > 0

@@ -7,6 +7,7 @@ experiment tables regenerate identically however they were computed.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -84,6 +85,23 @@ class TestRunConfigKeys:
     def test_cache_key_is_the_description_digest(self):
         (config,) = make_grid(seeds=(1,))
         assert config.cache_key() == config_digest(config.description())
+
+    # Literal digests: every on-disk cache entry is addressed by these
+    # keys, so a config-schema change that silently re-keys existing
+    # configs (dropping a field, reordering the description) fails here.
+    @pytest.mark.parametrize("extra, key", [
+        ({}, "0968054050684c773f2d73ec022e5e5f"
+             "fa32ce64c2e9ff168ebb5e3e2d2765eb"),
+        ({"link_rate": 4.0}, "667fab2f0ce52f5aa9abc5a13f8bc8f6"
+                             "b8de5adc94bd9cf0955d3f4821103fce"),
+        ({"causal": True}, "b31b2b21a72c16432ddff886b7e31031"
+                           "3fa0bd1c383394fc2347354354d36669"),
+    ], ids=["flows1-default", "link-rate", "causal"])
+    def test_cache_keys_pinned(self, extra, key):
+        (config,) = make_grid(seeds=(5,))
+        config = replace(config, **extra)
+        assert config.flows == 1
+        assert config.cache_key() == key
 
 
 class TestDeterminism:

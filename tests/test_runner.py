@@ -159,3 +159,27 @@ class TestSubmitRestore:
         run_transfer(sender, receiver, GreedySource(10))
         assert sender.submit is counting_submit
         assert len(calls) == 10
+
+
+class TestEngineKeyword:
+    """``engine`` survives only as a ``"default"``-only keyword."""
+
+    def test_default_engine_accepted(self):
+        result = run_transfer(
+            BlockAckSender(4), BlockAckReceiver(4), GreedySource(5),
+            engine="default",
+        )
+        assert result.completed and result.delivered == 5
+
+    def test_run_transfer_rejects_other_engines(self):
+        with pytest.raises(ValueError, match="removed"):
+            run_transfer(
+                BlockAckSender(4), BlockAckReceiver(4), GreedySource(5),
+                engine="warp",
+            )
+
+    def test_run_flows_rejects_other_engines(self):
+        from repro.sim.host import run_flows, uniform_flows
+
+        with pytest.raises(ValueError, match="removed"):
+            run_flows(uniform_flows("blockack", 2, 4, 5), engine="warp")

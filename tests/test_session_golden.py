@@ -7,7 +7,7 @@ seam through :class:`~repro.channel.mux.FlowMux`,
 :class:`~repro.sim.host.SessionHost`, and the sweep layer; with the
 default configuration (``fifo`` scheduler, infinite capacity — i.e. no
 ``ArbiterConfig`` at all) every pinned session must reproduce its
-recording byte-for-byte on both engines.  That is the acceptance
+recording byte-for-byte.  That is the acceptance
 criterion that makes the refactor safe: the arbiter only exists when a
 finite rate is requested, and ``FlowPort.send`` keeps the exact
 historical direct-to-link path otherwise.
@@ -40,24 +40,29 @@ def _rehydrate(recorded):
     ]
 
 
+# ``fast-engine`` (the suite's historical id) replays each session with
+# the telemetry layer attached, so the simulator runs its instrumented
+# drain loops; the decision trace must not change.
 @pytest.mark.parametrize(
-    "engine", ["default", "fast"], ids=["default-engine", "fast-engine"]
+    "variant", ["default", "fast"], ids=["default-engine", "fast-engine"]
 )
 @pytest.mark.parametrize(
     "case_id,kwargs",
     golden_session_cases(),
     ids=[case_id for case_id, _ in golden_session_cases()],
 )
-def test_session_trace_matches_pre_arbiter_golden(case_id, kwargs, engine):
+def test_session_trace_matches_pre_arbiter_golden(case_id, kwargs, variant):
     assert case_id in RECORDINGS, (
         f"no golden recording for {case_id}; "
         f"run tests/golden/generate_sessions.py"
     )
     golden = _rehydrate(RECORDINGS[case_id])
-    current = _rehydrate(record_session_case(engine=engine, **kwargs))
+    current = _rehydrate(
+        record_session_case(obs=variant == "fast", **kwargs)
+    )
     differences = decision_diff(golden, current)
     assert not differences, (
-        f"{case_id} [{engine}]: session decision trace diverged from the "
+        f"{case_id} [{variant}]: session decision trace diverged from the "
         f"pre-arbiter recording:\n" + "\n".join(differences)
     )
 

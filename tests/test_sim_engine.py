@@ -140,6 +140,20 @@ class TestRunControl:
         sim.run(max_events=50)
         assert sim.events_processed == 50
 
+    def test_max_events_cap_does_not_jump_clock_to_until(self, sim):
+        # the cap, not the bound, stopped the drain: events still due
+        # before `until` must stay in the future, so the clock may not
+        # advance past them
+        stamps = []
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: stamps.append(sim.now))
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 1.0
+        assert sim.pending_count == 2
+        sim.run(until=10.0)
+        assert stamps == [1.0, 2.0, 3.0]
+        assert sim.now == 10.0  # bound-stopped drain: clock at horizon
+
     def test_step_returns_false_on_empty_queue(self, sim):
         assert sim.step() is False
 
