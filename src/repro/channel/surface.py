@@ -1,9 +1,11 @@
 """The channel surface every link-layer wrapper must forward.
 
-:func:`~repro.sim.runner.run_transfer` and the verification/observability
-layers talk to a *channel-shaped* object: the raw :class:`~repro.channel
-.channel.Channel`, the byte-framing :class:`~repro.wire.framed
-.FramedChannel`, or a per-flow :class:`~repro.channel.mux.FlowPort`.
+The session host (:class:`~repro.sim.host.SessionHost`, which
+:func:`~repro.sim.runner.run_transfer` runs) and the
+verification/observability layers talk to a *channel-shaped* object:
+the raw :class:`~repro.channel.channel.Channel`, the byte-framing
+:class:`~repro.wire.framed.FramedChannel`, or a per-flow
+:class:`~repro.channel.mux.FlowPort`.
 Historically each wrapper re-implemented the forwarding by hand, and a
 missing passthrough (``stats``, ``effective_max_lifetime``, ...) only
 surfaced when some harness feature silently misbehaved.  This module
@@ -24,7 +26,7 @@ import abc
 from typing import Any, List
 
 __all__ = ["ChannelSurface", "CHANNEL_SURFACE_METHODS", "CHANNEL_SURFACE_ATTRS",
-           "missing_surface"]
+           "link_stats", "missing_surface"]
 
 #: callables the harness invokes on every channel-shaped object
 CHANNEL_SURFACE_METHODS = (
@@ -92,3 +94,17 @@ def missing_surface(channel: Any) -> List[str]:
         if not hasattr(channel, attr):
             problems.append(attr)
     return problems
+
+
+def link_stats(channel: Any) -> dict:
+    """Final counters of one channel-shaped object, as a fresh dict.
+
+    A framed link adds its corruption counters (``corrupted``,
+    ``discarded``, ``bytes_sent``) to the plain channel statistics.
+    """
+    stats: dict = channel.stats.as_dict()
+    if hasattr(channel, "discarded"):  # framed link wrapper
+        stats["corrupted"] = channel.corrupted
+        stats["discarded"] = channel.discarded
+        stats["bytes_sent"] = channel.bytes_sent
+    return stats

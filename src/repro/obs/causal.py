@@ -154,7 +154,8 @@ class CausalRecorder:
     """Per-run causal graph + flight ring + latency attribution.
 
     One instance per run (like :class:`~repro.obs.session.Observability`),
-    built by ``run_transfer(..., causal=True)`` or the session host.  The
+    built by the session host (``run_transfer(..., causal=True)`` is a
+    one-flow session).  The
     hot path appends one raw tuple per event to a bounded deque — no ids,
     no parent lookups, no metric objects — everything derivable from
     stream order is reconstructed lazily (see the module docstring).

@@ -34,6 +34,7 @@ import os
 import pathlib
 from typing import Any, Dict, List, Optional
 
+from repro.channel.surface import link_stats
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.sink import SCHEMA_VERSION, JsonlSink
 from repro.obs.spans import ObsRecorder, SpanTracker
@@ -178,7 +179,7 @@ class Observability:
         self._extra_trackers: List[SpanTracker] = []  # per-flow trackers
 
     # ------------------------------------------------------------------
-    # wiring (called by run_transfer, or by hand for custom harnesses)
+    # wiring (called by the session host, or by hand for custom harnesses)
     # ------------------------------------------------------------------
 
     def make_recorder(self, sim, inner) -> ObsRecorder:
@@ -262,12 +263,7 @@ class Observability:
                 labelnames=("link", "stat"),
             )
             for link, channel in self._channel_stats:
-                stats = channel.stats.as_dict()
-                if hasattr(channel, "discarded"):  # framed link wrapper
-                    stats["corrupted"] = channel.corrupted
-                    stats["discarded"] = channel.discarded
-                    stats["bytes_sent"] = channel.bytes_sent
-                for stat, value in stats.items():
+                for stat, value in link_stats(channel).items():
                     gauge.labels(link=link, stat=stat).set(value)
         if result is not None:
             self.registry.gauge(

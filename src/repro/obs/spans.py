@@ -14,8 +14,8 @@ The tracker derives the distributions the paper's analysis cares about:
   acknowledgment (the paper's headline economy: one ack, many messages);
 * ``time_in_window`` — submit to cumulative-ack: how long each message
   occupied sender window state;
-* ``latency`` — submit to deliver, replacing the ad-hoc latency wrapper
-  :func:`repro.sim.runner.run_transfer` used before this layer existed.
+* ``latency`` — submit to deliver, replacing the harness's plain
+  submit-time bookkeeping when observability is on.
 
 :class:`SpanTracker` consumes the same stream of trace records the
 endpoints already emit, so **every retransmitting protocol is

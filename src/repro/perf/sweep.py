@@ -240,10 +240,12 @@ class MonitorSummary:
 def execute_config(config: RunConfig) -> TransferResult:
     """Build and run one configured transfer (in whatever process).
 
-    ``flows > 1`` routes through the multi-flow session host
-    (:func:`repro.sim.host.run_flows`): ``flows`` identical greedy flows
-    of the protocol share the two links, and the flattened result
-    carries per-flow rows plus the Jain fairness index.
+    A single-flow config runs through the module-global
+    :func:`run_transfer`.  ``flows > 1``, ``flow_windows`` or a
+    ``link_rate`` route through :class:`repro.sim.host.SessionHost`:
+    the flows share the two links, and the flattened result carries
+    per-flow rows plus the Jain fairness index.  A muxed session
+    rejects a ``fault_plan`` with :class:`ValueError`.
     """
     from repro.protocols.registry import make_pair  # local: avoid cycles
 
@@ -285,14 +287,9 @@ def execute_config(config: RunConfig) -> TransferResult:
         )
 
     if config.flows > 1 or arbiter is not None or config.flow_windows is not None:
-        if plan is not None:
-            raise ValueError(
-                "fault plans script a single endpoint pair; multi-flow "
-                "sessions do not support them yet (see ROADMAP open items)"
-            )
         from repro.sim.host import (  # local: avoid cycles
+            SessionHost,
             mixed_flows,
-            run_flows,
             session_to_transfer,
             uniform_flows,
         )
@@ -317,7 +314,8 @@ def execute_config(config: RunConfig) -> TransferResult:
                 for spec, weight in zip(specs, config.flow_weights):
                     spec.weight = weight
 
-        session = run_flows(
+        # a muxed session rejects fault_plan (SessionHost owns the rule)
+        session = SessionHost(
             specs,
             forward=config.forward,
             reverse=config.reverse,
@@ -332,7 +330,8 @@ def execute_config(config: RunConfig) -> TransferResult:
             obs_labels=obs_labels,
             causal=config.causal,
             arbiter=arbiter,
-        )
+            fault_plan=plan,
+        ).run()
         result = session_to_transfer(session)
         if result.obs is not None:
             result.obs_path = str(result.obs.export())

@@ -38,7 +38,8 @@ corruption draws come from yet another stream, so adding a
 therefore the whole wire schedule up to the corruption instant)
 untouched.
 
-``run_transfer(..., fault_plan=plan)`` installs the plan after wiring;
+``run_transfer(..., fault_plan=plan)`` (a direct one-flow
+:class:`~repro.sim.host.SessionHost`) installs the plan after wiring;
 experiments read the injection counters back from ``plan.stats``.  A
 plan instance wires into exactly one transfer: :meth:`FaultPlan.install`
 raises on re-install (re-wrapping the loss models would double-wrap

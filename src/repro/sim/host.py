@@ -1,12 +1,17 @@
-"""Multi-flow session host: N protocol flows over one shared link pair.
+"""Session host: the one harness that wires and runs a simulation.
 
-:func:`~repro.sim.runner.run_transfer` wires exactly one sender/receiver
-pair to dedicated channels — the paper's setting.  A production-scale
-deployment of the window protocol multiplexes *many* concurrent flows
-over the same impaired links, which is where per-connection window
-behaviour, link sharing, and fairness start to matter (Ghaderi &
-Towsley; Jain — see PAPERS.md).  :class:`SessionHost` realises that
-regime on the existing machinery:
+:class:`SessionHost` runs one or more protocol flows over one link pair.
+With one flow and no link arbiter it wires that sender/receiver pair
+straight onto two dedicated channels — the paper's setting, and all
+:func:`~repro.sim.runner.run_transfer` is: a one-flow session converted
+to a :class:`~repro.sim.runner.TransferResult`.  Only such a direct
+session takes a ``fault_plan``.
+
+A production-scale deployment of the window protocol multiplexes *many*
+concurrent flows over the same impaired links, which is where
+per-connection window behaviour, link sharing, and fairness start to
+matter (Ghaderi & Towsley; Jain — see PAPERS.md).  Every other session
+realises that regime on the same wiring path:
 
 * one **forward** and one **reverse** channel are built from the usual
   :class:`~repro.sim.runner.LinkSpec` descriptions — loss, delay,
@@ -23,12 +28,9 @@ regime on the existing machinery:
   in-flight data, and ack spans form an independent instance of the
   protocol over its slice of the link.
 
-:func:`run_flows` is the entry point.  With one flow it delegates to
-:func:`~repro.sim.runner.run_transfer` unchanged (byte-identical
-results, same decision trace — ``run_transfer`` *is* the N=1 special
-case); with N >= 2 it runs the shared-link session and returns a
-:class:`SessionResult` holding per-flow :class:`FlowResult` rows plus
-aggregate goodput and the Jain fairness index across flows.
+:func:`run_flows` is the entry point; it returns a :class:`SessionResult`
+holding per-flow :class:`FlowResult` rows plus aggregate goodput and the
+Jain fairness index across flows.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.analysis.stats import jain_fairness
 from repro.channel.arbiter import ArbiterConfig
 from repro.channel.mux import FlowMux
+from repro.channel.surface import link_stats
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -47,7 +50,6 @@ from repro.sim.runner import (
     TransferResult,
     _derive_timeout,
     require_default_engine,
-    run_transfer,
 )
 from repro.trace.recorder import NullRecorder, TraceRecorder
 from repro.workloads.sources import GreedySource, Source
@@ -138,7 +140,7 @@ class FlowResult:
 
 @dataclass
 class SessionResult:
-    """Per-flow plus aggregate outcome of one multi-flow session."""
+    """Per-flow plus aggregate outcome of one session."""
 
     completed: bool  # every flow finished
     duration: float
@@ -155,7 +157,8 @@ class SessionResult:
     obs_path: Optional[str] = None
     causal: Any = None  # CausalRecorder when the causal layer was on
     flight_path: Optional[str] = None  # flight dump, when a trigger fired
-    transfer: Optional[TransferResult] = None  # set on the N=1 path
+    fault_stats: dict = field(default_factory=dict)  # injected-fault counters
+    stabilization: Optional[dict] = None  # corruption-recovery verdict
 
     @property
     def throughput(self) -> float:
@@ -275,75 +278,31 @@ def _wire_domain(sender: Any) -> Optional[int]:
     return domain
 
 
-def _session_from_transfer(
-    spec: FlowSpec, result: TransferResult
-) -> SessionResult:
-    """Wrap the N=1 delegation's TransferResult as a session result."""
-    flow = FlowResult(
-        flow=0,
-        label=spec.label,
-        completed=result.completed,
-        delivered=result.delivered,
-        submitted=result.submitted,
-        in_order=result.in_order,
-        ordered_prefix=result.ordered_prefix,
-        duration=result.duration,
-        sender_stats=result.sender_stats,
-        receiver_stats=result.receiver_stats,
-        forward_stats=result.forward_stats,
-        reverse_stats=result.reverse_stats,
-        latencies=result.latencies,
-        timeout_period=result.timeout_period,
-        monitor=result.monitor,
-        delivered_payloads=result.delivered_payloads,
-    )
-    return SessionResult(
-        completed=result.completed,
-        duration=result.duration,
-        delivered=result.delivered,
-        submitted=result.submitted,
-        in_order=result.in_order,
-        flows=[flow],
-        fairness=1.0,
-        forward_stats=result.forward_stats,
-        reverse_stats=result.reverse_stats,
-        trace=result.trace,
-        obs=result.obs,
-        obs_path=result.obs_path,
-        causal=result.causal,
-        flight_path=result.flight_path,
-        transfer=result,
-    )
-
-
 class _FlowHarness:
-    """Per-flow wiring state the host keeps while a session runs."""
+    """Per-flow wiring state the host keeps while a session runs.
+
+    ``fid`` is the flow id on the wire and in telemetry: ``None`` for
+    the one flow of a direct-wired session, ``index`` behind a mux.
+    """
 
     __slots__ = (
-        "index",
-        "spec",
-        "forward_port",
-        "reverse_port",
-        "delivered_payloads",
-        "submit_times",
-        "latencies",
-        "tracker",
-        "monitor",
-        "original_submit",
-        "submit_was_instance_attr",
+        "index", "fid", "spec", "forward_port", "reverse_port",
+        "delivered_payloads", "submit_times", "latencies", "tracker",
+        "monitor", "original_submit", "submit_was_instance_attr",
     )
 
-    def __init__(self, index: int, spec: FlowSpec) -> None:
+    def __init__(self, index: int, fid: Optional[int], spec: FlowSpec) -> None:
         self.index = index
+        self.fid = fid
         self.spec = spec
-        self.forward_port = None
-        self.reverse_port = None
+        self.forward_port: Any = None  # the channel itself, or a FlowPort
+        self.reverse_port: Any = None
         self.delivered_payloads: List[Any] = []
         self.submit_times: Dict[int, float] = {}
         self.latencies: List[float] = []
-        self.tracker = None  # per-flow SpanTracker when obs is on
-        self.monitor = None
-        self.original_submit: Optional[Callable] = None
+        self.tracker: Any = None  # SpanTracker when obs is on
+        self.monitor: Any = None
+        self.original_submit: Optional[Callable[[Any], int]] = None
         self.submit_was_instance_attr = False
 
     @property
@@ -356,13 +315,20 @@ class _FlowHarness:
 
 
 class SessionHost:
-    """Build, run, and measure one multi-flow session.
+    """Build, run, and measure one session of one or more flows.
 
-    Parameters mirror :func:`~repro.sim.runner.run_transfer` where they
-    make sense for a shared link; ``fault_plan`` is not supported here
-    because its crash/restart scripting names a single endpoint pair —
-    scripted link faults on multi-flow sessions are an open item
-    (ROADMAP).
+    Parameters mirror :func:`~repro.sim.runner.run_transfer`.  A
+    session of exactly one flow with no active ``arbiter`` is wired
+    *directly*: the flow's endpoints sit on the two channels themselves,
+    with no :class:`~repro.channel.mux.FlowMux`, the ``sender`` /
+    ``receiver`` actor names and ``SR`` / ``RS`` link labels of the
+    paper's setting, and the session-level span tracker of ``obs``.
+    Every other session muxes flows ``0..N-1`` onto the shared links.
+
+    ``fault_plan`` and ``record_channel_drops`` apply only to a direct
+    session: a plan's crash/restart scripting names a single endpoint
+    pair, so a muxed session raises :class:`ValueError` — fault targets
+    naming a flow are an open item (ROADMAP).
     """
 
     def __init__(
@@ -383,12 +349,28 @@ class SessionHost:
         obs_sample_invariants_every: int = 0,
         causal: bool = False,
         arbiter: Optional[ArbiterConfig] = None,
+        fault_plan: Optional[Any] = None,
+        record_channel_drops: bool = False,
     ) -> None:
-        self.flows = [
-            _FlowHarness(index, spec) for index, spec in enumerate(flows)
-        ]
-        if not self.flows:
+        flows = list(flows)
+        if not flows:
             raise ValueError("a session needs at least one flow")
+        self.arbiter = (
+            arbiter if arbiter is not None and arbiter.active else None
+        )
+        self.direct = len(flows) == 1 and self.arbiter is None
+        if not self.direct and (
+            fault_plan is not None or record_channel_drops
+        ):
+            raise ValueError(
+                "fault plans and channel-drop records script a single "
+                "endpoint pair; a muxed session (several flows, or an "
+                "arbitrated link) does not support them (ROADMAP)"
+            )
+        self.flows = [
+            _FlowHarness(index, None if self.direct else index, spec)
+            for index, spec in enumerate(flows)
+        ]
         self.forward_spec = forward if forward is not None else LinkSpec()
         self.reverse_spec = reverse if reverse is not None else LinkSpec()
         self.seed = seed
@@ -403,9 +385,8 @@ class SessionHost:
         self.obs_labels = obs_labels
         self.obs_sample_invariants_every = obs_sample_invariants_every
         self.causal = causal
-        self.arbiter = (
-            arbiter if arbiter is not None and arbiter.active else None
-        )
+        self.fault_plan = fault_plan
+        self.record_channel_drops = record_channel_drops
 
     # ------------------------------------------------------------------
 
@@ -444,17 +425,21 @@ class SessionHost:
         reverse_channel = self.reverse_spec.build(
             sim, streams.get("channel.reverse"), "RS"
         )
-        # only the data direction is arbitrated: acks are the paper's
-        # cheap control frames, so the reverse link keeps pure
-        # loss/delay (see repro.channel.arbiter module docs)
-        forward_mux = FlowMux(forward_channel, arbiter=self.arbiter)
-        reverse_mux = FlowMux(reverse_channel)
-        self._link_arbiter = forward_mux.arbiter
+        forward: Any = forward_channel
+        reverse: Any = reverse_channel
+        arbiter = None
+        if not self.direct:
+            # only the data direction is arbitrated: acks are the paper's
+            # cheap control frames, so the reverse link keeps pure
+            # loss/delay (see repro.channel.arbiter module docs)
+            forward = FlowMux(forward_channel, arbiter=self.arbiter)
+            reverse = FlowMux(reverse_channel)
+            arbiter = forward.arbiter
         if obs_session is not None:
             obs_session.attach_channel(forward_channel, forward_channel.name)
             obs_session.attach_channel(reverse_channel, reverse_channel.name)
         if causal_rec is not None:
-            # observe the *shared* channels, where the FlowEnvelope is
+            # observe the *shared* channels, where a FlowEnvelope is
             # still intact — the causal observer unwraps it, so transit
             # nodes carry the flow id of the message they touched
             forward_channel.add_observer(
@@ -464,32 +449,59 @@ class SessionHost:
                 causal_rec.channel_observer(reverse_channel.name)
             )
 
-        recorder = (
+        recorder: Any = (
             TraceRecorder(sim, capacity=self.trace_capacity)
             if self.trace
             else NullRecorder()
         )
 
         for flow in self.flows:
-            self._wire_flow(flow, sim, forward_mux, reverse_mux, recorder,
-                            obs_session, causal_rec)
+            self._wire_flow(
+                flow, sim, forward, reverse, recorder, obs_session, causal_rec
+            )
+        plan = self.fault_plan
+        if plan is not None:
+            (flow,) = self.flows
+            if causal_rec is not None:
+                # fault nodes + flush-on-fault-boundary for a streaming dump
+                plan.observer = causal_rec.fault_observer()
+            # must come after the connects in _wire_flow: the plan
+            # re-connects each channel through its corruption/outage
+            # interceptor
+            plan.install(
+                sim, forward_channel, reverse_channel,
+                flow.spec.sender, flow.spec.receiver,
+            )
+
+        flows = self.flows
 
         def unfinished() -> bool:
-            return not all(flow.finished for flow in self.flows)
+            for flow in flows:
+                if not flow.finished:
+                    return True
+            return False
 
         try:
-            for flow in self.flows:
+            for flow in flows:
+                self._install_hooks(flow, sim, causal_rec)
+            for flow in flows:
                 flow.spec.source.attach(sim, flow.spec.sender)
             sim.run_while(
                 unfinished, max_time=self.max_time, max_events=self.max_events
             )
         finally:
-            for flow in self.flows:
+            for flow in flows:
                 self._restore_submit(flow)
+            if plan is not None:
+                # put the channels' own loss models back: a plan-wrapped
+                # brownout left installed (e.g. one scheduled around a
+                # crash/restart) would survive a later Channel.reset and
+                # replay a different rng stream on a reused channel
+                plan.uninstall()
 
         return self._collect(
             sim, forward_channel, reverse_channel, recorder, obs_session,
-            causal_rec,
+            causal_rec, arbiter,
         )
 
     # ------------------------------------------------------------------
@@ -497,22 +509,37 @@ class SessionHost:
     # ------------------------------------------------------------------
 
     def _wire_flow(
-        self, flow, sim, forward_mux, reverse_mux, recorder, obs_session,
-        causal_rec=None,
+        self,
+        flow: _FlowHarness,
+        sim: Simulator,
+        forward: Any,
+        reverse: Any,
+        recorder: Any,
+        obs_session: Any,
+        causal_rec: Any,
     ) -> None:
-        sender, receiver = flow.spec.sender, flow.spec.receiver
-        fid = flow.index
-        flow.forward_port = forward_mux.port(fid, weight=flow.spec.weight)
-        flow.reverse_port = reverse_mux.port(fid)
-
-        # flow-aware identity: distinct trace actors per flow, and the
-        # window-core endpoints carry their flow id for diagnostics
-        sender.actor_name = f"sender.f{fid}"
-        receiver.actor_name = f"receiver.f{fid}"
-        if hasattr(sender, "flow_id"):
-            sender.flow_id = fid
-        if hasattr(receiver, "flow_id"):
-            receiver.flow_id = fid
+        """Wire one flow onto ``forward``/``reverse``: the channels of a
+        direct session, or the two muxes of a muxed one."""
+        # duck-typed endpoints: flow_id / enable_oracle are optional
+        sender: Any = flow.spec.sender
+        receiver: Any = flow.spec.receiver
+        fid = flow.fid
+        if fid is None:
+            sender_name, receiver_name = "sender", "receiver"
+            flow.forward_port, flow.reverse_port = forward, reverse
+        else:
+            sender_name, receiver_name = f"sender.f{fid}", f"receiver.f{fid}"
+            flow.forward_port = forward.port(fid, weight=flow.spec.weight)
+            flow.reverse_port = reverse.port(fid)
+            # flow-aware identity: distinct trace actors per flow, and
+            # the window-core endpoints carry their flow id
+            sender.actor_name = sender_name
+            receiver.actor_name = receiver_name
+            if hasattr(sender, "flow_id"):
+                sender.flow_id = fid
+            if hasattr(receiver, "flow_id"):
+                receiver.flow_id = fid
+        forward_port, reverse_port = flow.forward_port, flow.reverse_port
 
         flow_recorder = recorder
         if causal_rec is not None:
@@ -523,159 +550,178 @@ class SessionHost:
 
             flow_recorder = CausalTee(sim, causal_rec, flow_recorder, flow=fid)
             causal_rec.watch_endpoints(
-                (f"sender.f{fid}", sender), (f"receiver.f{fid}", receiver)
+                (sender_name, sender), (receiver_name, receiver)
             )
         if obs_session is not None:
-            # per-flow span tracker on the shared registry: instruments
-            # (histograms/counters) merge into session aggregates while
-            # each flow keeps its own span table and latency list
-            from repro.obs.spans import ObsRecorder, SpanTracker
+            # the tee feeds every endpoint trace record into a span
+            # tracker before forwarding: the session's own for a direct
+            # flow; behind a mux, a flow-tagged one on the shared
+            # registry, whose instruments merge into session aggregates
+            # while the flow keeps its own span table and latencies
+            if fid is None:
+                flow.tracker = obs_session.span_tracker
+                flow_recorder = obs_session.make_recorder(sim, flow_recorder)
+            else:
+                from repro.obs.spans import ObsRecorder, SpanTracker
 
-            flow.tracker = SpanTracker(obs_session.registry, flow=fid)
-            obs_session.add_span_tracker(flow.tracker)
-            flow_recorder = ObsRecorder(sim, flow.tracker, flow_recorder)
-            obs_session.attach_channel(
-                flow.forward_port, flow.forward_port.name
+                flow.tracker = SpanTracker(obs_session.registry, flow=fid)
+                obs_session.add_span_tracker(flow.tracker)
+                flow_recorder = ObsRecorder(sim, flow.tracker, flow_recorder)
+                obs_session.attach_channel(forward_port, forward_port.name)
+                obs_session.attach_channel(reverse_port, reverse_port.name)
+        if self.trace and self.record_channel_drops:
+            # channel loss/aging events appear in the trace as DROP
+            # records — required by the refinement replay
+            # (repro.verify.refinement)
+            forward_port.add_observer(
+                _drop_observer(flow_recorder, forward_port.name)
             )
-            obs_session.attach_channel(
-                flow.reverse_port, flow.reverse_port.name
+            reverse_port.add_observer(
+                _drop_observer(flow_recorder, reverse_port.name)
             )
 
-        _derive_timeout(sender, receiver, flow.forward_port, flow.reverse_port)
+        _derive_timeout(sender, receiver, forward_port, reverse_port)
 
-        if obs_session is not None:
+        domain = _wire_domain(sender)
+        plan = self.fault_plan
+        if plan is not None and plan.corruptions:
+            # a corrupting fault plan always gets a StabilizationMonitor
+            # (the convergence watchdog's scorekeeper); it subsumes the
+            # plain invariant monitor, so monitor_invariants shares it
+            from repro.verify.runtime import StabilizationMonitor
 
-            def on_deliver(seq, payload, flow=flow, sim=sim):
-                flow.delivered_payloads.append(payload)
-                flow.tracker.on_deliver(seq, sim.now)
-
-        else:
-
-            def on_deliver(seq, payload, flow=flow, sim=sim):
-                flow.delivered_payloads.append(payload)
-                submitted_at = flow.submit_times.pop(seq, None)
-                if submitted_at is not None:
-                    flow.latencies.append(sim.now - submitted_at)
-
-        if causal_rec is not None:
-            plain_deliver = on_deliver
-
-            def on_deliver(
-                seq, payload, flow=flow, sim=sim, fid=fid,
-                causal_rec=causal_rec, plain_deliver=plain_deliver,
-            ):
-                plain_deliver(seq, payload)
-                causal_rec.on_deliver(
-                    seq, sim.now, flow=fid, actor=f"receiver.f{fid}"
-                )
-
-        receiver.on_deliver = on_deliver
-
-        if self.monitor_invariants:
+            plan.monitor = StabilizationMonitor(
+                sender, receiver, forward_port, reverse_port, domain=domain
+            )
+            if self.monitor_invariants:
+                flow.monitor = plan.monitor
+        elif self.monitor_invariants:
             from repro.verify.runtime import InvariantMonitor  # cycle guard
 
             flow.monitor = InvariantMonitor(
-                sender, receiver, flow.forward_port, flow.reverse_port,
-                domain=_wire_domain(sender),
+                sender, receiver, forward_port, reverse_port, domain=domain
             )
-        elif (
-            obs_session is not None
-            and obs_session.sample_invariants_every
-        ):
-            from repro.obs.probes import InvariantProbe  # cycle guard
-
-            flow.monitor = InvariantProbe(
-                sender, receiver, flow.forward_port, flow.reverse_port,
-                domain=_wire_domain(sender),
-                sample_every=obs_session.sample_invariants_every,
-                registry=obs_session.registry,
-                recorder=(
-                    flow_recorder if flow_recorder is not recorder else None
-                ),
-            )
-
-        sender.attach(sim, flow.forward_port, flow_recorder)
-        receiver.attach(sim, flow.reverse_port, flow_recorder)
         if obs_session is not None:
-            controller = getattr(sender, "_retx", None)  # built during attach
-            if controller is not None:
+            if fid is None:
+                obs_session.install_probe(
+                    sender, receiver, forward_port, reverse_port,
+                    domain=domain,
+                )
+            elif flow.monitor is None and obs_session.sample_invariants_every:
+                from repro.obs.probes import InvariantProbe  # cycle guard
+
+                flow.monitor = InvariantProbe(
+                    sender, receiver, forward_port, reverse_port,
+                    domain=domain,
+                    sample_every=obs_session.sample_invariants_every,
+                    registry=obs_session.registry,
+                    recorder=flow_recorder,
+                )
+
+        sender.attach(sim, forward_port, flow_recorder)
+        receiver.attach(sim, reverse_port, flow_recorder)
+        controller = getattr(sender, "_retx", None)  # built during attach
+        if controller is not None:
+            if obs_session is not None:
                 obs_session.attach_controller(controller)
-        if causal_rec is not None:
-            controller = getattr(sender, "_retx", None)
-            if controller is not None:
+            if causal_rec is not None:
                 # chained after any obs instruments bound just above
                 causal_rec.attach_controller(controller, flow=fid)
-        flow.forward_port.connect(receiver.on_message)
-        flow.reverse_port.connect(sender.on_message)
+        forward_port.connect(receiver.on_message)
+        reverse_port.connect(sender.on_message)
         if (
             getattr(sender, "timeout_mode", None) == "oracle"
             and hasattr(sender, "enable_oracle")
         ):
-            sender.enable_oracle(
-                flow.forward_port, flow.reverse_port, receiver
-            )
+            sender.enable_oracle(forward_port, reverse_port, receiver)
 
-        # timestamp submits for per-flow latency (or per-flow spans)
+    @staticmethod
+    def _install_hooks(
+        flow: _FlowHarness, sim: Simulator, causal_rec: Any
+    ) -> None:
+        """Timestamp each payload at submit and at delivery.
+
+        Delivered payloads are kept for the ordering check; latencies go
+        to the flow's span tracker when obs is on.  The ``submit``
+        wrapper lives for one run only (see :meth:`_restore_submit`), so
+        a sender reused across runs never stacks wrappers.
+        """
+        sender, keep = flow.spec.sender, flow.delivered_payloads.append
         flow.submit_was_instance_attr = "submit" in vars(sender)
-        flow.original_submit = sender.submit
+        original = sender.submit
+        flow.original_submit = original
+        tracker = flow.tracker
+        if tracker is not None:
 
-        if obs_session is not None:
-
-            def timed_submit(payload, flow=flow, sim=sim):
-                seq = flow.original_submit(payload)
-                flow.tracker.on_submit(seq, sim.now)
+            def timed_submit(payload: Any) -> int:
+                seq = original(payload)
+                tracker.on_submit(seq, sim.now)
                 return seq
+
+            def on_deliver(seq: int, payload: Any) -> None:
+                keep(payload)
+                # idempotent: protocols that emit DELIVER trace records
+                # have already stamped this span through the recorder tee
+                tracker.on_deliver(seq, sim.now)
 
         else:
+            submit_times, latencies = flow.submit_times, flow.latencies
 
-            def timed_submit(payload, flow=flow, sim=sim):
-                seq = flow.original_submit(payload)
-                flow.submit_times[seq] = sim.now
+            def timed_submit(payload: Any) -> int:
+                seq = original(payload)
+                submit_times[seq] = sim.now
                 return seq
 
-        if causal_rec is not None:
-            plain_submit = timed_submit
+            def on_deliver(seq: int, payload: Any) -> None:
+                keep(payload)
+                submitted_at = submit_times.pop(seq, None)
+                if submitted_at is not None:
+                    latencies.append(sim.now - submitted_at)
 
-            def timed_submit(
-                payload, sim=sim, fid=fid, causal_rec=causal_rec,
-                plain_submit=plain_submit,
-            ):
-                seq = plain_submit(payload)
+        submit_hook: Callable[[Any], int] = timed_submit
+        deliver_hook: Callable[[int, Any], None] = on_deliver
+        if causal_rec is not None:
+            fid = flow.fid
+            actor = "receiver" if fid is None else f"receiver.f{fid}"
+
+            def causal_submit(payload: Any) -> int:
+                seq = timed_submit(payload)
                 causal_rec.on_submit(seq, sim.now, flow=fid)
                 return seq
 
-        sender.submit = timed_submit
+            def causal_deliver(seq: int, payload: Any) -> None:
+                on_deliver(seq, payload)
+                # idempotent with the DELIVER trace record
+                causal_rec.on_deliver(seq, sim.now, flow=fid, actor=actor)
+
+            submit_hook, deliver_hook = causal_submit, causal_deliver
+        flow.spec.receiver.on_deliver = deliver_hook
+        setattr(sender, "submit", submit_hook)
 
     @staticmethod
-    def _restore_submit(flow) -> None:
+    def _restore_submit(flow: _FlowHarness) -> None:
         if flow.original_submit is None:
             return
+        sender = flow.spec.sender
         if flow.submit_was_instance_attr:
-            flow.spec.sender.submit = flow.original_submit
-        else:
-            try:
-                del flow.spec.sender.submit
-            except AttributeError:
-                pass
+            setattr(sender, "submit", flow.original_submit)
+        elif "submit" in vars(sender):
+            delattr(sender, "submit")
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _link_stats(channel) -> dict:
-        stats = channel.stats.as_dict()
-        if hasattr(channel, "discarded"):  # framed link corruption counters
-            stats["corrupted"] = channel.corrupted
-            stats["discarded"] = channel.discarded
-            stats["bytes_sent"] = channel.bytes_sent
-        return stats
-
     def _collect(
-        self, sim, forward_channel, reverse_channel, recorder, obs_session,
-        causal_rec=None,
+        self,
+        sim: Simulator,
+        forward_channel: Any,
+        reverse_channel: Any,
+        recorder: Any,
+        obs_session: Any,
+        causal_rec: Any,
+        arbiter: Any,
     ) -> SessionResult:
-        arbiter = getattr(self, "_link_arbiter", None)
         flow_results: List[FlowResult] = []
         for flow in self.flows:
             spec = flow.spec
@@ -691,37 +737,31 @@ class SessionHost:
                 if flow.tracker is not None
                 else flow.latencies
             )
-            ordered_prefix = (
-                flow.delivered_payloads
-                == spec.source.submitted[: len(flow.delivered_payloads)]
-            )
+            delivered = flow.delivered_payloads
+            submitted = spec.source.submitted
+            ordered_prefix = delivered == submitted[: len(delivered)]
             flow_results.append(
                 FlowResult(
                     flow=flow.index,
                     label=spec.label,
                     completed=flow.finished,
-                    delivered=len(flow.delivered_payloads),
-                    submitted=len(spec.source.submitted),
-                    in_order=(
-                        ordered_prefix
-                        and len(flow.delivered_payloads)
-                        == len(spec.source.submitted)
-                    ),
+                    delivered=len(delivered),
+                    submitted=len(submitted),
+                    in_order=ordered_prefix
+                    and len(delivered) == len(submitted),
                     ordered_prefix=ordered_prefix,
                     duration=sim.now,
                     sender_stats=sender_stats,
                     receiver_stats=spec.receiver.stats.as_dict(),
-                    forward_stats=flow.forward_port.stats.as_dict(),
-                    reverse_stats=flow.reverse_port.stats.as_dict(),
+                    forward_stats=link_stats(flow.forward_port),
+                    reverse_stats=link_stats(flow.reverse_port),
                     latencies=latencies,
                     timeout_period=(
                         getattr(spec.sender, "timeout_period", 0.0) or 0.0
                     ),
                     monitor=flow.monitor,
                     delivered_payloads=(
-                        flow.delivered_payloads
-                        if self.collect_payloads
-                        else []
+                        delivered if self.collect_payloads else []
                     ),
                     queue_stats=(
                         arbiter.flow_stats(flow.index).as_dict()
@@ -731,6 +771,7 @@ class SessionHost:
                 )
             )
 
+        plan = self.fault_plan
         result = SessionResult(
             completed=all(flow.completed for flow in flow_results),
             duration=sim.now,
@@ -741,34 +782,45 @@ class SessionHost:
             fairness=jain_fairness(
                 [flow.delivered for flow in flow_results]
             ),
-            forward_stats=self._link_stats(forward_channel),
-            reverse_stats=self._link_stats(reverse_channel),
+            forward_stats=link_stats(forward_channel),
+            reverse_stats=link_stats(reverse_channel),
             arbiter_stats=(
                 arbiter.stats_dict() if arbiter is not None else {}
             ),
             trace=recorder if self.trace else None,
             obs=obs_session,
+            fault_stats=plan.stats.as_dict() if plan is not None else {},
         )
+        if plan is not None and plan.corruptions:
+            result.stabilization = plan.monitor.summary(
+                result.completed, result.in_order
+            )
         if causal_rec is not None:
+            if result.stabilization is not None:
+                causal_rec.on_stabilization(result.stabilization["verdict"])
             causal_rec.on_fairness(result.fairness)
-            for flow in flow_results:
-                if flow.sender_stats.get("link_dead") and not any(
+            for flow_result, flow in zip(flow_results, self.flows):
+                if flow_result.sender_stats.get("link_dead") and not any(
                     reason == "link_dead"
                     for _, reason, _ in causal_rec.triggers
                 ):
-                    causal_rec.trigger(
-                        "link_dead", f"flow {flow.flow} reports link_dead"
-                    )
+                    # backstop: a sender can go link-dead without routing
+                    # the verdict through controller instruments
+                    who = "sender" if flow.fid is None else f"flow {flow.fid}"
+                    causal_rec.trigger("link_dead", f"{who} reports link_dead")
             result.causal = causal_rec
             result.flight_path = causal_rec.close_flight()
             if obs_session is not None:
-                obs_session.causal = causal_rec
+                obs_session.causal = causal_rec  # attributions ride export
         if obs_session is not None:
-            self._finalize_obs(obs_session, result)
+            if not self.direct:
+                self._session_gauges(obs_session, result)
+            obs_session.finalize(result)
         return result
 
-    def _finalize_obs(self, obs_session, result: SessionResult) -> None:
-        """Session aggregates + per-flow gauges into the obs registry."""
+    @staticmethod
+    def _session_gauges(obs_session: Any, result: SessionResult) -> None:
+        """Per-flow gauges and session aggregates into the obs registry."""
         gauge = obs_session.registry.gauge(
             "flow_stat",
             "final per-flow counters",
@@ -812,7 +864,26 @@ class SessionHost:
                 depth_gauge.labels(**labels).set(stats["max_depth"])
                 drops.labels(**labels).inc(stats["dropped"])
                 grants.labels(**labels).inc(stats["granted"])
-        obs_session.finalize(result)
+
+
+def _drop_observer(recorder: Any, link: str) -> Callable[[str, Any], None]:
+    """Channel observer recording loss/aging as ``channel:<link>`` DROPs."""
+    from repro.core.messages import BlockAck, DataMessage  # cycle guard
+    from repro.trace.events import EventKind
+
+    actor = f"channel:{link}"
+
+    def observe(kind: str, message: Any) -> None:
+        if kind not in ("lose", "age"):
+            return
+        if isinstance(message, DataMessage):
+            recorder.record(actor, EventKind.DROP, seq=message.seq)
+        elif isinstance(message, BlockAck):
+            recorder.record(
+                actor, EventKind.DROP, seq=message.lo, seq_hi=message.hi
+            )
+
+    return observe
 
 
 def run_flows(
@@ -834,86 +905,84 @@ def run_flows(
     engine: str = "default",
     arbiter: Optional[ArbiterConfig] = None,
 ) -> SessionResult:
-    """Run N flows over one shared link pair and measure the session.
+    """Run one or more flows over one link pair and measure the session.
 
-    ``flows`` with exactly one entry delegates to
-    :func:`~repro.sim.runner.run_transfer` — no mux, identical wiring,
-    byte-identical results and decision trace (the returned session's
-    ``transfer`` field carries the underlying
-    :class:`~repro.sim.runner.TransferResult`).  With N >= 2 the flows
+    One flow with no active ``arbiter`` is wired directly onto the two
+    channels — the paper's setting, exactly what
+    :func:`~repro.sim.runner.run_transfer` runs.  Otherwise the flows
     share one forward and one reverse channel through a
-    :class:`~repro.channel.mux.FlowMux` per direction.
-
-    An *active* ``arbiter`` (finite rate) disables the N=1 delegation:
-    a capacity-limited run needs the mux/arbiter wiring even for one
-    flow, so it always goes through :class:`SessionHost`.
+    :class:`~repro.channel.mux.FlowMux` per direction (an active
+    arbiter needs the mux even for one flow).  See :class:`SessionHost`.
 
     ``engine`` accepts only ``"default"`` (see
     :func:`~repro.sim.runner.run_transfer`).
     """
     require_default_engine(engine)
-    flows = list(flows)
-    if not flows:
-        raise ValueError("run_flows needs at least one FlowSpec")
-    arbitrated = arbiter is not None and arbiter.active
-    if len(flows) == 1 and not arbitrated:
-        spec = flows[0]
-        result = run_transfer(
-            spec.sender,
-            spec.receiver,
-            spec.source,
-            forward=forward,
-            reverse=reverse,
-            seed=seed,
-            max_time=max_time,
-            max_events=max_events,
-            collect_payloads=collect_payloads,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            monitor_invariants=monitor_invariants,
-            obs=obs,
-            obs_run_id=obs_run_id,
-            obs_labels=obs_labels,
-            obs_sample_invariants_every=obs_sample_invariants_every,
-            causal=causal,
-        )
-        return _session_from_transfer(spec, result)
     host = SessionHost(
-        flows,
-        forward=forward,
-        reverse=reverse,
-        seed=seed,
-        max_time=max_time,
-        max_events=max_events,
-        collect_payloads=collect_payloads,
-        trace=trace,
-        trace_capacity=trace_capacity,
-        monitor_invariants=monitor_invariants,
-        obs=obs,
-        obs_run_id=obs_run_id,
-        obs_labels=obs_labels,
+        flows, forward=forward, reverse=reverse, seed=seed,
+        max_time=max_time, max_events=max_events,
+        collect_payloads=collect_payloads, trace=trace,
+        trace_capacity=trace_capacity, monitor_invariants=monitor_invariants,
+        obs=obs, obs_run_id=obs_run_id, obs_labels=obs_labels,
         obs_sample_invariants_every=obs_sample_invariants_every,
-        causal=causal,
-        arbiter=arbiter if arbitrated else None,
+        causal=causal, arbiter=arbiter,
     )
     return host.run()
+
+
+def _one_flow_transfer(session: SessionResult) -> TransferResult:
+    """The exact :class:`TransferResult` of a direct one-flow session.
+
+    The flow's stat dicts are carried unchanged (summing would drop the
+    non-numeric ``adaptive`` / ``link_dead`` entries) and its monitor is
+    the real monitor object; ``per_flow`` and ``fairness`` stay unset.
+    """
+    (flow,) = session.flows
+    return TransferResult(
+        completed=flow.completed,
+        duration=session.duration,
+        delivered=flow.delivered,
+        submitted=flow.submitted,
+        in_order=flow.in_order,
+        ordered_prefix=flow.ordered_prefix,
+        sender_stats=flow.sender_stats,
+        receiver_stats=flow.receiver_stats,
+        forward_stats=flow.forward_stats,
+        reverse_stats=flow.reverse_stats,
+        delivered_payloads=flow.delivered_payloads,
+        trace=session.trace,
+        timeout_period=flow.timeout_period,
+        monitor=flow.monitor,
+        latencies=flow.latencies,
+        fault_stats=session.fault_stats,
+        obs=session.obs,
+        obs_path=session.obs_path,
+        stabilization=session.stabilization,
+        causal=session.causal,
+        flight_path=session.flight_path,
+    )
 
 
 def session_to_transfer(session: SessionResult) -> TransferResult:
     """Flatten a session into the sweep runner's TransferResult shape.
 
-    The N=1 path already carries its exact ``TransferResult``.  For
-    N >= 2 the top-level sender/receiver stats are numeric sums across
-    flows (aggregate retransmissions, acks, deliveries), the link stats
-    are the shared channels' aggregates, and the per-flow rows plus the
-    fairness index ride the ``per_flow`` / ``fairness`` fields.
+    A direct one-flow session (no arbiter) converts exactly, as
+    :func:`~repro.sim.runner.run_transfer` returns it.  Otherwise the
+    top-level sender/receiver stats are numeric sums across flows
+    (aggregate retransmissions, acks, deliveries) and the link stats
+    are the shared channels' aggregates.  Either way the per-flow rows
+    plus the fairness index ride the ``per_flow`` / ``fairness`` fields.
     """
-    if session.transfer is not None:
-        transfer = session.transfer
-        transfer.per_flow = [flow.as_dict() for flow in session.flows]
-        transfer.fairness = session.fairness
-        return transfer
+    if len(session.flows) == 1 and not session.arbiter_stats:
+        transfer = _one_flow_transfer(session)
+    else:
+        transfer = _summed_transfer(session)
+    transfer.per_flow = [flow.as_dict() for flow in session.flows]
+    transfer.fairness = session.fairness
+    return transfer
 
+
+def _summed_transfer(session: SessionResult) -> TransferResult:
     def summed(dicts: List[dict]) -> dict:
         out: Dict[str, Any] = {}
         for stats in dicts:
@@ -924,12 +993,12 @@ def session_to_transfer(session: SessionResult) -> TransferResult:
                     out[key] = out.get(key, 0) + value
         return out
 
+    flows = session.flows
     latencies: List[float] = []
-    for flow in session.flows:
-        latencies.extend(flow.latencies)
     violations: List[str] = []
     monitored = False
-    for flow in session.flows:
+    for flow in flows:
+        latencies.extend(flow.latencies)
         if flow.monitor is not None:
             monitored = True
             violations.extend(
@@ -947,26 +1016,18 @@ def session_to_transfer(session: SessionResult) -> TransferResult:
         delivered=session.delivered,
         submitted=session.submitted,
         in_order=session.in_order,
-        ordered_prefix=all(
-            flow.ordered_prefix for flow in session.flows
-        ),
-        sender_stats=summed([flow.sender_stats for flow in session.flows]),
-        receiver_stats=summed(
-            [flow.receiver_stats for flow in session.flows]
-        ),
+        ordered_prefix=all(flow.ordered_prefix for flow in flows),
+        sender_stats=summed([flow.sender_stats for flow in flows]),
+        receiver_stats=summed([flow.receiver_stats for flow in flows]),
         forward_stats=session.forward_stats,
         reverse_stats=session.reverse_stats,
         trace=session.trace,
-        timeout_period=max(
-            flow.timeout_period for flow in session.flows
-        ),
+        timeout_period=max(flow.timeout_period for flow in flows),
         monitor=monitor,
         latencies=latencies,
         obs=session.obs,
         obs_path=session.obs_path,
         causal=session.causal,
         flight_path=session.flight_path,
-        per_flow=[flow.as_dict() for flow in session.flows],
-        fairness=session.fairness,
         arbiter_stats=session.arbiter_stats,
     )

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.analysis.stats import jain_fairness
+from repro.channel.delay import ExponentialDelay
 from repro.experiments.common import lossy_link
 from repro.perf.sweep import (
     RunConfig,
@@ -28,6 +29,7 @@ from repro.perf.sweep import (
 from repro.protocols.registry import make_pair
 from repro.sim.host import (
     FlowSpec,
+    SessionHost,
     run_flows,
     session_to_transfer,
     uniform_flows,
@@ -64,8 +66,7 @@ class TestSingleFlowParity:
             reverse=lossy_link(loss, spread=0.0),
             seed=11, trace=True,
         )
-        result = session.transfer
-        assert result is not None  # N=1 went through run_transfer itself
+        result = session_to_transfer(session)
         for field in (
             "completed", "duration", "delivered", "submitted", "in_order",
             "sender_stats", "receiver_stats", "forward_stats",
@@ -79,6 +80,36 @@ class TestSingleFlowParity:
         assert len(session.flows) == 1
         assert session.delivered == reference.delivered
 
+    def test_single_flow_telemetry_counted_once_and_untagged(self, tmp_path):
+        """A direct flow's port *is* the channel: one obs series per link."""
+        sender, receiver = make_pair("blockack", window=8)
+        result = run_transfer(
+            sender, receiver, GreedySource(200),
+            forward=lossy_link(0.1), reverse=lossy_link(0.1),
+            seed=3, obs=True, causal=True,
+        )
+        assert result.completed and result.in_order
+        assert result.obs.run_id == "transfer"
+        events = result.obs.registry.counter(
+            "channel_events_total", "", labelnames=("link", "outcome")
+        )
+        for link, stats in (
+            ("SR", result.forward_stats), ("RS", result.reverse_stats),
+        ):
+            for outcome, stat in (("send", "sent"), ("deliver", "delivered")):
+                counted = events.labels(link=link, outcome=outcome).value
+                assert counted == stats[stat], (link, outcome)
+        assert (result.forward_stats["sent"],
+                result.forward_stats["delivered"]) == (234, 215)
+        path = result.obs.export(path=tmp_path / "transfer.jsonl")
+        spans = [
+            record
+            for record in map(json.loads, path.read_text().splitlines())
+            if record["type"] == "span"
+        ]
+        assert len(spans) == 200
+        assert not any("flow" in record for record in spans)
+
     def test_empty_flow_list_rejected(self):
         with pytest.raises(ValueError):
             run_flows([])
@@ -86,6 +117,36 @@ class TestSingleFlowParity:
     def test_uniform_flows_validates_count(self):
         with pytest.raises(ValueError):
             uniform_flows("blockack", 0, 4, 10)
+
+    def test_failed_wiring_restores_submit(self):
+        """A flow that fails to wire leaves no earlier sender wrapped."""
+        first = make_pair("blockack", window=4, timeout_period=20.0)
+        second = make_pair("blockack", window=4)  # no timeout to derive
+        with pytest.raises(ValueError, match="cannot derive a safe timeout"):
+            run_flows(
+                [
+                    FlowSpec(*first, GreedySource(5)),
+                    FlowSpec(*second, GreedySource(5)),
+                ],
+                forward=LinkSpec(delay=ExponentialDelay(1.0)),
+                reverse=LinkSpec(delay=ExponentialDelay(1.0)),
+            )
+        assert "submit" not in vars(first[0])
+        assert "submit" not in vars(second[0])
+
+    def test_muxed_session_rejects_single_pair_faults(self):
+        from repro.robustness.faults import CrashRestart, FaultPlan
+
+        plan = FaultPlan(
+            crashes=(CrashRestart(at=5.0, outage=2.0, endpoint="sender"),)
+        )
+        with pytest.raises(ValueError, match="muxed session"):
+            SessionHost(uniform_flows("blockack", 2, 4, 10), fault_plan=plan)
+        with pytest.raises(ValueError, match="muxed session"):
+            SessionHost(
+                uniform_flows("blockack", 2, 4, 10),
+                trace=True, record_channel_drops=True,
+            )
 
 
 class TestSharedLinkSessions:
@@ -203,13 +264,30 @@ class TestSessionToTransfer:
             assert row["in_order"] and row["ordered_prefix"]
 
     def test_n1_keeps_the_exact_transfer_result(self):
-        sender, receiver = make_pair("blockack", window=4)
+        from repro.robustness.controller import AdaptiveConfig
+
+        def pair():
+            return make_pair("blockack", window=4, adaptive=AdaptiveConfig())
+
+        sender, receiver = pair()
+        reference = run_transfer(
+            sender, receiver, GreedySource(15),
+            forward=LinkSpec(), reverse=LinkSpec(), seed=1,
+            monitor_invariants=True,
+        )
+        sender, receiver = pair()
         session = run_flows(
             [FlowSpec(sender, receiver, GreedySource(15))],
             forward=LinkSpec(), reverse=LinkSpec(), seed=1,
+            monitor_invariants=True,
         )
         flat = session_to_transfer(session)
-        assert flat is session.transfer
+        # stat dicts unsummed (adaptive/link_dead survive), real monitor
+        assert "adaptive" in flat.sender_stats
+        assert flat.sender_stats == reference.sender_stats
+        assert flat.monitor is session.flows[0].monitor
+        assert flat.monitor is not None and not flat.monitor.violations
+        assert reference.per_flow == [] and reference.fairness is None
         assert len(flat.per_flow) == 1 and flat.fairness == 1.0
 
 

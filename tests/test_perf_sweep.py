@@ -6,6 +6,7 @@ must produce results that serialize to the exact same JSON payloads, so
 experiment tables regenerate identically however they were computed.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -102,6 +103,34 @@ class TestRunConfigKeys:
         config = replace(config, **extra)
         assert config.flows == 1
         assert config.cache_key() == key
+
+    # Literal digests of the serialized results themselves: a cache hit
+    # replays these payloads, so the single-flow harness must reproduce
+    # them exactly (the telemetry paths depend on the working directory
+    # and are left out).
+    @pytest.mark.parametrize("extra, digest", [
+        ({}, "82a08b66439502de4690f50af7c33e41"
+             "6acc8b5e53a394b6e6dcbf92ac8ea770"),
+        ({"link_rate": 4.0}, "6f2a00b6bfe2a0f2e0577c102f6bfef5"
+                             "26e22b6fedaeee85520373130ee6e13b"),
+        ({"causal": True}, "82a08b66439502de4690f50af7c33e41"
+                           "6acc8b5e53a394b6e6dcbf92ac8ea770"),
+        ({"fault_plan": FaultPlan(
+            forward_corruption=FrameCorruption(0.01),
+            crashes=(CrashRestart(at=30.0, outage=5.0, endpoint="sender"),),
+            seed=5,
+        )}, "01195fdb1857ca07dbbff79b689df7ce"
+            "b42498d9d53a6803474f74c5182d165b"),
+    ], ids=["flows1-default", "link-rate", "causal", "fault-plan"])
+    def test_result_payloads_pinned(self, extra, digest):
+        (config,) = make_grid(seeds=(5,))
+        config = replace(config, **extra)
+        assert config.flows == 1
+        payload = serialize_result(execute_config(config))
+        payload.pop("obs_path")
+        payload.pop("flight_path")
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
